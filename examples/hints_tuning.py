@@ -18,7 +18,8 @@ from repro.core import (
     PatternClass,
     trace_filesystem,
 )
-from repro.enzo import MPIIOStrategy, array_dtype
+from repro.enzo import array_dtype
+from repro.iostack import registry
 from repro.mpiio import Hints
 from repro.topology import origin2000
 from repro.core import format_table
@@ -31,7 +32,7 @@ def timed(hints: Hints):
     machine = origin2000(nprocs=NPROCS)
     result = run_checkpoint_experiment(
         machine,
-        MPIIOStrategy(hints=hints),
+        registry.create("mpi-io", hints=hints),
         build_workload(PROBLEM),
         nprocs=NPROCS,
         do_read=False,
@@ -60,24 +61,25 @@ def mdms_loop() -> None:
     hierarchy = build_workload(PROBLEM)
     trace = trace_filesystem(machine.fs)
     baseline = run_checkpoint_experiment(
-        machine, MPIIOStrategy(), hierarchy, nprocs=NPROCS, do_read=False
+        machine, registry.create("mpi-io"), hierarchy, nprocs=NPROCS,
+        do_read=False,
     )
 
-    registry = MetadataRegistry()
+    meta_registry = MetadataRegistry()
     root = hierarchy.root
     for name in root.fields.names:
-        registry.register("top", name, root.dims, np.float64,
+        meta_registry.register("top", name, root.dims, np.float64,
                           PatternClass.REGULAR_BLOCK)
     from repro.amr.particles import PARTICLE_ARRAYS
 
     for name in PARTICLE_ARRAYS:
-        registry.register("top", f"particle/{name}",
+        meta_registry.register("top", f"particle/{name}",
                           (len(root.particles),), array_dtype(name),
                           PatternClass.IRREGULAR)
 
     mdms = MDMS(machine.fs)
     mdms.register_application(
-        "enzo", registry, stripe_size=machine.fs.layout.stripe_size
+        "enzo", meta_registry, stripe_size=machine.fs.layout.stripe_size
     )
     mdms.record_run("enzo", trace)
     suggested = mdms.suggest_hints("enzo")

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo verify flow: tier-1 tests, resilience + insights smoke tests, lint
-# gate, the paper-figure regression gate, and the tuned-vs-untuned
-# bandwidth artifact.
+# Repo verify flow: tier-1 tests, resilience + insights smoke tests,
+# examples smoke, lint gate, the paper-figure regression gate, and the
+# tuned-vs-untuned bandwidth artifact.
 #
 # Usage:  bash scripts/verify.sh
 set -euo pipefail
@@ -17,6 +17,12 @@ python -m pytest -q tests/test_resilience*.py tests/test_crash_consistency.py \
 
 echo "== insights smoke tests =="
 python -m pytest -q tests/test_insights*.py
+
+echo "== examples smoke (every examples/*.py runs to completion) =="
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" >/dev/null
+done
 
 echo "== lint gate (full repro package) =="
 if command -v ruff >/dev/null 2>&1; then

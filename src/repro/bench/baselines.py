@@ -264,6 +264,32 @@ TRENDS: tuple[Trend, ...] = tuple(
     ]
     + [
         _t(
+            f"fig6-{kind}-time-P16",
+            f"MPI-IO {kind} time beats HDF4 at P=16 (Fig 6; the bandwidth "
+            "trends alone allow a slower time for a larger payload)",
+            f"{kind}_s", "fig6:mpi-io:16", "lt", "fig6:hdf4:16",
+        )
+        for kind in ("write", "read")
+    ]
+    + [
+        _t(
+            "fig6-mpiio-read-scales",
+            "MPI-IO read time falls as processors are added on Origin2000 "
+            "(Fig 6)",
+            "read_s", "fig6:mpi-io:16", "lt", "fig6:mpi-io:2",
+        ),
+        Trend(
+            id="fig6-hdf4-read-flat",
+            description="the HDF4 read is serialised through P0, so more "
+            "processors never help it much: its P=16 read time stays above "
+            "80% of its P=2 read time (Fig 6)",
+            metric="read_s",
+            left="fig6:hdf4:16", relation="gt", right="fig6:hdf4:2",
+            rfactor=0.8,
+        ),
+    ]
+    + [
+        _t(
             f"fig7-write-inversion-P{p}",
             f"on SP/GPFS the MPI-IO write is *slower* than HDF4 at P={p} "
             "(token thrash + SMP I/O queues, Fig 7)",
@@ -286,6 +312,19 @@ TRENDS: tuple[Trend, ...] = tuple(
         ),
     ]
     + [
+        Trend(
+            id=f"fig8-ethernet-{kind}-{strat}",
+            description=f"fast Ethernet dominates: the {strat} {kind} on "
+            "Chiba City/PVFS takes over 1.5x its Origin2000/XFS time at "
+            "P=8 (Fig 8 vs Fig 6, same AMR32 workload)",
+            metric=f"{kind}_s",
+            left=f"fig8:{strat}:8", relation="gt", right=f"fig6:{strat}:8",
+            rfactor=1.5,
+        )
+        for strat in ("hdf4", "mpi-io")
+        for kind in ("write", "read")
+    ]
+    + [
         _t(
             f"fig9-write-P{p}",
             f"node-local disks: MPI-IO write beats HDF4 at P={p} (Fig 9)",
@@ -299,11 +338,14 @@ TRENDS: tuple[Trend, ...] = tuple(
             "node-local MPI-IO write time falls as processors grow (Fig 9)",
             "write_s", "fig9:mpi-io:8", "lt", "fig9:mpi-io:2",
         ),
-        _t(
-            "fig9-read-P8",
-            "node-local MPI-IO read beats the HDF4 redistribution read "
-            "at P=8 (Fig 9)",
-            "read_s", "fig9:mpi-io:8", "lt", "fig9:hdf4:8",
+        Trend(
+            id="fig9-read-P8",
+            description="node-local MPI-IO read beats the HDF4 "
+            "redistribution read by a wide margin at P=8: under 70% of its "
+            "time (Fig 9)",
+            metric="read_s",
+            left="fig9:mpi-io:8", relation="lt", right="fig9:hdf4:8",
+            rfactor=0.7,
         ),
     ]
     + [
@@ -325,6 +367,14 @@ TRENDS: tuple[Trend, ...] = tuple(
         for p in (4, 8, 16)
     ]
     + [
+        Trend(
+            id="fig10-hdf5-write-2x-P8",
+            description="parallel HDF5 takes over twice the MPI-IO write "
+            "time at P=8 (Fig 10)",
+            metric="write_s",
+            left="fig10:hdf5:8", relation="gt", right="fig10:mpi-io:8",
+            rfactor=2.0,
+        ),
         _t(
             "fig10-hdf5-flat",
             "HDF5 write time does not improve with processors (its "

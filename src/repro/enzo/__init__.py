@@ -1,9 +1,9 @@
-"""The ENZO cosmology application and its three checkpoint I/O strategies."""
+"""The ENZO cosmology application and the checkpoint I/O strategy interface.
+
+Concrete strategies are built by :func:`repro.iostack.registry.create`.
+"""
 
 from .io_base import IOStats, IOStrategy, hierarchy_path
-from .io_hdf4 import HDF4Strategy, subgrid_path, top_grid_path
-from .io_hdf5 import HDF5Strategy
-from .io_mpiio import MPIIOStrategy
 from .layout import TOP, ArrayExtent, CheckpointLayout
 from .meta import GridMeta, HierarchyMeta, array_dtype
 from .simulation import PROBLEM_SIZES, EnzoConfig, EnzoSimulation
@@ -16,11 +16,6 @@ __all__ = [
     "IOStrategy",
     "IOStats",
     "hierarchy_path",
-    "HDF4Strategy",
-    "MPIIOStrategy",
-    "HDF5Strategy",
-    "top_grid_path",
-    "subgrid_path",
     "CheckpointLayout",
     "ArrayExtent",
     "TOP",

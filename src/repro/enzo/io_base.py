@@ -424,9 +424,7 @@ class ComposedStrategy(IOStrategy):
     """An I/O strategy assembled from layout + transport + format layers.
 
     The named compositions in :mod:`repro.iostack.registry` instantiate
-    this class; the legacy strategy classes subclass it with their
-    original constructor signatures.  All behaviour runs through the
-    :class:`StackExecutor`.
+    this class.  All behaviour runs through the :class:`StackExecutor`.
     """
 
     def __init__(

@@ -198,7 +198,8 @@ def create(name: str, *, hints=None, retry=None, read_mode: str | None = None):
     by ``hdf4``, matching the original driver's signature); a composition
     whose options carry a ``"hints"`` mapping (e.g. the stripe-tuned
     ``mpi-io-lustre``) overlays those pinned knobs on top; ``read_mode``
-    overrides the funnel transport's restart-read path.
+    overrides the funnel transport's restart-read path and is rejected
+    for every other transport.
     """
     from ..aio.core import AioConfig
     from ..enzo.io_base import ComposedStrategy
@@ -206,6 +207,11 @@ def create(name: str, *, hints=None, retry=None, read_mode: str | None = None):
     from ..mpiio.hints import Hints
 
     comp = get(name)
+    if read_mode is not None and comp.transport != "funnel":
+        raise ValueError(
+            f"strategy {name!r} uses the {comp.transport!r} transport; "
+            "read_mode applies only to the 'funnel' transport"
+        )
     opts = comp.options
     aio = AioConfig() if opts.get("async") else None
     hint_overrides = opts.get("hints")

@@ -4,23 +4,14 @@ import numpy as np
 import pytest
 
 from repro.amr import BlockPartition, Grid, make_initial_conditions
-from repro.enzo import (
-    HDF4Strategy,
-    HDF5Strategy,
-    MPIIOStrategy,
-    RankState,
-    hierarchies_equivalent,
-)
+from repro.enzo import RankState, hierarchies_equivalent
 from repro.enzo.state import PartitionedState
+from repro.iostack import registry
 from repro.mpi import run_spmd
 
 from .conftest import make_machine
 
-STRATEGIES = {
-    "hdf4": HDF4Strategy,
-    "mpi-io": MPIIOStrategy,
-    "hdf5": HDF5Strategy,
-}
+STRATEGIES = ["hdf4", "mpi-io", "hdf5"]
 
 
 @pytest.fixture(scope="module")
@@ -30,18 +21,18 @@ def hierarchy():
     )
 
 
-def write_then_initial_read(hierarchy, cls, write_procs, read_procs):
+def write_then_initial_read(hierarchy, name, write_procs, read_procs):
     m = make_machine(write_procs)
 
     def wp(comm):
         st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        cls().write_checkpoint(comm, st, "ckpt")
+        registry.create(name).write_checkpoint(comm, st, "ckpt")
 
     run_spmd(m, wp)
     m2 = make_machine(read_procs, fs=m.fs)
 
     def rp(comm):
-        state, stats = cls().read_initial(comm, "ckpt")
+        state, stats = registry.create(name).read_initial(comm, "ckpt")
         return state, stats
 
     res = run_spmd(m2, rp)
@@ -72,19 +63,19 @@ class TestBlockPartitionForGrid:
         assert part.pgrid[0] == max(part.pgrid)
 
 
-@pytest.mark.parametrize("name", list(STRATEGIES))
+@pytest.mark.parametrize("name", STRATEGIES)
 @pytest.mark.parametrize("nprocs", [1, 2, 4])
 def test_initial_read_roundtrip(hierarchy, name, nprocs):
-    states, stats = write_then_initial_read(hierarchy, STRATEGIES[name], 2, nprocs)
+    states, stats = write_then_initial_read(hierarchy, name, 2, nprocs)
     rebuilt = PartitionedState.collect(states)
     assert hierarchies_equivalent(rebuilt, hierarchy)
     assert all(s.operation == "read_initial" for s in stats)
     assert all(s.elapsed > 0 for s in stats)
 
 
-@pytest.mark.parametrize("name", list(STRATEGIES))
+@pytest.mark.parametrize("name", STRATEGIES)
 def test_initial_read_partitions_every_grid(hierarchy, name):
-    states, _ = write_then_initial_read(hierarchy, STRATEGIES[name], 2, 4)
+    states, _ = write_then_initial_read(hierarchy, name, 2, 4)
     meta = states[0].meta
     for g in meta.grids():
         part = states[0].partitions[g.id]
@@ -96,9 +87,9 @@ def test_initial_read_partitions_every_grid(hierarchy, name):
         assert sum(len(p.particles) for p in active) == g.nparticles
 
 
-@pytest.mark.parametrize("name", list(STRATEGIES))
+@pytest.mark.parametrize("name", STRATEGIES)
 def test_initial_read_particles_live_in_their_piece(hierarchy, name):
-    states, _ = write_then_initial_read(hierarchy, STRATEGIES[name], 2, 4)
+    states, _ = write_then_initial_read(hierarchy, name, 2, 4)
     for s in states:
         for piece in s.pieces.values():
             if piece is None or len(piece.particles) == 0:
@@ -110,7 +101,7 @@ def test_initial_read_more_ranks_than_cells(hierarchy):
     """Grids smaller than the communicator leave trailing ranks empty."""
     # Build a tiny hierarchy whose subgrid is very small.
     h = make_initial_conditions((8, 8, 8), seed=5, pre_refine=1)
-    states, _ = write_then_initial_read(h, MPIIOStrategy, 2, 8)
+    states, _ = write_then_initial_read(h, "mpi-io", 2, 8)
     rebuilt = PartitionedState.collect(states)
     assert hierarchies_equivalent(rebuilt, h)
 
@@ -121,12 +112,12 @@ def test_initial_read_hdf4_funnels_through_rank0(hierarchy):
 
     def wp(comm):
         st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        HDF4Strategy().write_checkpoint(comm, st, "ckpt")
+        registry.create("hdf4").write_checkpoint(comm, st, "ckpt")
 
     run_spmd(m, wp)
 
     def rp(comm):
-        _state, stats = HDF4Strategy().read_initial(comm, "ckpt")
+        _state, stats = registry.create("hdf4").read_initial(comm, "ckpt")
         return stats.bytes_moved
 
     res = run_spmd(make_machine(4, fs=m.fs), rp)
@@ -139,12 +130,12 @@ def test_initial_read_mpiio_spreads_bytes(hierarchy):
 
     def wp(comm):
         st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        MPIIOStrategy().write_checkpoint(comm, st, "ckpt")
+        registry.create("mpi-io").write_checkpoint(comm, st, "ckpt")
 
     run_spmd(m, wp)
 
     def rp(comm):
-        _state, stats = MPIIOStrategy().read_initial(comm, "ckpt")
+        _state, stats = registry.create("mpi-io").read_initial(comm, "ckpt")
         return stats.bytes_moved
 
     res = run_spmd(make_machine(4, fs=m.fs), rp)

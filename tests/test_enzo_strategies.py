@@ -4,22 +4,14 @@ import numpy as np
 import pytest
 
 from repro.amr import make_initial_conditions
-from repro.enzo import (
-    HDF4Strategy,
-    HDF5Strategy,
-    MPIIOStrategy,
-    RankState,
-    hierarchies_equivalent,
-)
+from repro.bench import build_workload
+from repro.enzo import RankState, hierarchies_equivalent
+from repro.iostack import registry
 from repro.mpi import run_spmd
 
 from .conftest import make_machine
 
-STRATEGIES = {
-    "hdf4": HDF4Strategy,
-    "mpi-io": MPIIOStrategy,
-    "hdf5": HDF5Strategy,
-}
+STRATEGIES = ["hdf4", "mpi-io", "hdf5"]
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +21,15 @@ def hierarchy():
     )
 
 
-def dump_and_restart(hierarchy, strategy_cls, nprocs, restart_procs=None):
+def dump_and_restart(hierarchy, name, nprocs, restart_procs=None,
+                     read_mode=None):
     """Write a checkpoint on ``nprocs`` ranks, read it on ``restart_procs``."""
     restart_procs = restart_procs or nprocs
     write_machine = make_machine(nprocs)
 
     def write_program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        strategy = strategy_cls()
+        strategy = registry.create(name)
         return strategy.write_checkpoint(comm, state, "ckpt")
 
     wres = run_spmd(write_machine, write_program)
@@ -44,7 +37,7 @@ def dump_and_restart(hierarchy, strategy_cls, nprocs, restart_procs=None):
     read_machine = make_machine(restart_procs, fs=write_machine.fs)
 
     def read_program(comm):
-        strategy = strategy_cls()
+        strategy = registry.create(name, read_mode=read_mode)
         state, stats = strategy.read_checkpoint(comm, "ckpt")
         return state, stats
 
@@ -53,35 +46,47 @@ def dump_and_restart(hierarchy, strategy_cls, nprocs, restart_procs=None):
     return wres, rres, RankState.collect(states)
 
 
-@pytest.mark.parametrize("name", list(STRATEGIES))
+@pytest.mark.parametrize("name", STRATEGIES)
 @pytest.mark.parametrize("nprocs", [1, 2, 4])
 def test_checkpoint_roundtrip(hierarchy, name, nprocs):
-    _, _, rebuilt = dump_and_restart(hierarchy, STRATEGIES[name], nprocs)
+    _, _, rebuilt = dump_and_restart(hierarchy, name, nprocs)
     assert hierarchies_equivalent(rebuilt, hierarchy)
 
 
-@pytest.mark.parametrize("name", list(STRATEGIES))
-def test_restart_at_different_proc_count(hierarchy, name):
+@pytest.mark.parametrize("name, read_mode", [
+    *(pytest.param(name, None, id=name) for name in STRATEGIES),
+    pytest.param("hdf4", "round_robin", id="hdf4-round_robin"),
+])
+def test_restart_at_different_proc_count(hierarchy, name, read_mode):
     """Write with 4 ranks, restart with 2 and with 6."""
+    if read_mode:
+        # The fixture has one subgrid, which round-robin also hands to
+        # rank 0; AMR16's five subgrids spread over the readers.
+        hierarchy = build_workload("AMR16")
     for restart_procs in (2, 6):
-        _, _, rebuilt = dump_and_restart(
-            hierarchy, STRATEGIES[name], 4, restart_procs
+        _, rres, rebuilt = dump_and_restart(
+            hierarchy, name, 4, restart_procs, read_mode
         )
         assert hierarchies_equivalent(rebuilt, hierarchy)
+    if read_mode:
+        # Every rank reads its own subgrid files, so rank 0 no longer
+        # reads (and forwards) every subgrid as the master path does.
+        _, master, _ = dump_and_restart(hierarchy, name, 4, restart_procs)
+        assert rres.results[0][1].bytes_moved < master.results[0][1].bytes_moved
 
 
 def test_cross_strategy_checkpoints_agree(hierarchy):
     """A checkpoint written by any strategy restores the same hierarchy."""
-    _, _, via_mpiio = dump_and_restart(hierarchy, MPIIOStrategy, 4)
-    _, _, via_hdf4 = dump_and_restart(hierarchy, HDF4Strategy, 2)
-    _, _, via_hdf5 = dump_and_restart(hierarchy, HDF5Strategy, 3)
+    _, _, via_mpiio = dump_and_restart(hierarchy, "mpi-io", 4)
+    _, _, via_hdf4 = dump_and_restart(hierarchy, "hdf4", 2)
+    _, _, via_hdf5 = dump_and_restart(hierarchy, "hdf5", 3)
     assert hierarchies_equivalent(via_mpiio, via_hdf4)
     assert hierarchies_equivalent(via_mpiio, via_hdf5)
 
 
-@pytest.mark.parametrize("name", list(STRATEGIES))
+@pytest.mark.parametrize("name", STRATEGIES)
 def test_write_stats_structure(hierarchy, name):
-    wres, rres, _ = dump_and_restart(hierarchy, STRATEGIES[name], 2)
+    wres, rres, _ = dump_and_restart(hierarchy, name, 2)
     for stats in wres.results:
         assert stats.operation == "write"
         assert stats.elapsed > 0
@@ -103,7 +108,7 @@ def test_hdf4_gathers_to_rank0(hierarchy):
 
     def program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        HDF4Strategy().write_checkpoint(comm, state, "ckpt")
+        registry.create("hdf4").write_checkpoint(comm, state, "ckpt")
         return None
 
     run_spmd(machine, program)
@@ -118,7 +123,7 @@ def test_mpiio_uses_collective_io(hierarchy):
 
     def program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        MPIIOStrategy().write_checkpoint(comm, state, "ckpt")
+        registry.create("mpi-io").write_checkpoint(comm, state, "ckpt")
         return None
 
     run_spmd(machine, program)
@@ -132,21 +137,21 @@ def test_mpiio_uses_collective_io(hierarchy):
 
 def test_checkpoint_files_differ_by_strategy(hierarchy):
     """HDF4 makes one file per grid; the others one shared file + sidecar."""
-    _, _, _ = dump_and_restart(hierarchy, HDF4Strategy, 2)
+    _, _, _ = dump_and_restart(hierarchy, "hdf4", 2)
 
     machine = make_machine(2)
 
-    def program(comm, cls):
+    def program(comm, name):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        cls().write_checkpoint(comm, state, "ckpt")
+        registry.create(name).write_checkpoint(comm, state, "ckpt")
         return None
 
-    run_spmd(machine, program, args=(MPIIOStrategy,))
+    run_spmd(machine, program, args=("mpi-io",))
     files = machine.fs.store.listdir()
     assert files == ["ckpt", "ckpt.hierarchy", "ckpt.manifest"]
 
     machine4 = make_machine(2)
-    run_spmd(machine4, program, args=(HDF4Strategy,))
+    run_spmd(machine4, program, args=("hdf4",))
     files4 = machine4.fs.store.listdir()
     assert "ckpt.grid0000" in files4
     # sidecar + manifest + top-grid file + one file per subgrid
@@ -160,7 +165,7 @@ def test_deterministic_checkpoint_bytes(hierarchy):
 
     def program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        MPIIOStrategy().write_checkpoint(comm, state, "ckpt")
+        registry.create("mpi-io").write_checkpoint(comm, state, "ckpt")
         return comm.clock
 
     r1 = run_spmd(m1, program)
@@ -180,18 +185,19 @@ class TestValidation:
 
         def wa(comm):
             st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-            MPIIOStrategy().write_checkpoint(comm, st, "a")
+            registry.create("mpi-io").write_checkpoint(comm, st, "a")
 
         run_spmd(m_a, wa)
         m_b = make_machine(2)
 
         def wb(comm):
             st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-            HDF4Strategy().write_checkpoint(comm, st, "b")
+            registry.create("hdf4").write_checkpoint(comm, st, "b")
 
         run_spmd(m_b, wb)
         report = compare_checkpoints(
-            m_a.fs, MPIIOStrategy(), "a", m_b.fs, HDF4Strategy(), "b"
+            m_a.fs, registry.create("mpi-io"), "a",
+            m_b.fs, registry.create("hdf4"), "b",
         )
         assert report.ok, report.summary()
         assert report.compared > 0
@@ -205,7 +211,7 @@ class TestValidation:
         for m, name in ((m_a, "a"), (m_b, "b")):
             def w(comm, base=name):
                 st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-                MPIIOStrategy().write_checkpoint(comm, st, base)
+                registry.create("mpi-io").write_checkpoint(comm, st, base)
 
             run_spmd(m, w)
         # Flip one data byte in b's shared file (well past the header).
@@ -213,7 +219,8 @@ class TestValidation:
         original = f.read(1000, 1)
         f.write(1000, bytes([original[0] ^ 0xFF]))
         report = compare_checkpoints(
-            m_a.fs, MPIIOStrategy(), "a", m_b.fs, MPIIOStrategy(), "b"
+            m_a.fs, registry.create("mpi-io"), "a",
+            m_b.fs, registry.create("mpi-io"), "b",
         )
         assert not report.ok
         assert report.mismatched
@@ -227,10 +234,10 @@ class TestValidation:
 
         def w(comm):
             st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-            MPIIOStrategy().write_checkpoint(comm, st, "c")
+            registry.create("mpi-io").write_checkpoint(comm, st, "c")
 
         run_spmd(m, w)
-        arrays = read_checkpoint_arrays(m.fs, MPIIOStrategy(), "c")
+        arrays = read_checkpoint_arrays(m.fs, registry.create("mpi-io"), "c")
         assert (TOP, "field", "density") in arrays
         assert (TOP, "particle", "particle_id") in arrays
         n_arrays_per_grid = 8 + 10

@@ -13,25 +13,15 @@ shows up as an array mismatch or a corrupt report.
 import pytest
 
 from repro.amr import make_initial_conditions
-from repro.enzo import (
-    HDF4Strategy,
-    HDF5Strategy,
-    MPIIOStrategy,
-    RankState,
-    compare_checkpoints,
-    hierarchies_equivalent,
-)
+from repro.enzo import RankState, compare_checkpoints, hierarchies_equivalent
+from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.resilience import RetryPolicy
 from repro.topology import chiba_city_local, origin2000
 
 from .conftest import make_machine
 
-STRATEGIES = {
-    "hdf4": HDF4Strategy,
-    "mpi-io": MPIIOStrategy,
-    "hdf5": HDF5Strategy,
-}
+STRATEGIES = ["hdf4", "mpi-io", "hdf5"]
 
 
 @pytest.fixture(scope="module")
@@ -58,37 +48,36 @@ def restart(machine, strategy, base="ckpt", nprocs=None):
     return RankState.collect(res.results)
 
 
-@pytest.mark.parametrize("name", list(STRATEGIES))
+@pytest.mark.parametrize("name", STRATEGIES)
 def test_faulted_dump_differentially_equal_to_clean_dump(hierarchy, name):
     """One injected write fault + retry: byte-for-byte the same checkpoint."""
-    cls = STRATEGIES[name]
     clean = make_machine(4)
-    dump(clean, hierarchy, cls(), base="clean")
+    dump(clean, hierarchy, registry.create(name), base="clean")
 
     faulted = make_machine(4)
     faulted.fs.inject_fault("write", "ckpt", after=3)
-    dump(faulted, hierarchy, cls(retry=RetryPolicy(max_retries=2)),
-         base="ckpt")
+    dump(faulted, hierarchy,
+         registry.create(name, retry=RetryPolicy(max_retries=2)), base="ckpt")
     assert faulted.fs.counters.recoveries > 0  # the fault really fired
 
     report = compare_checkpoints(
-        clean.fs, cls(), "clean", faulted.fs, cls(), "ckpt"
+        clean.fs, registry.create(name), "clean",
+        faulted.fs, registry.create(name), "ckpt",
     )
     assert report.ok, report.summary()
     assert report.compared > 0
 
 
-@pytest.mark.parametrize("name", list(STRATEGIES))
+@pytest.mark.parametrize("name", STRATEGIES)
 @pytest.mark.parametrize("restart_procs", [2, 6])
 def test_faulted_dump_restarts_at_any_width(hierarchy, name, restart_procs):
     """P=4 dump under a torn-write fault, restart at P'=2 and P'=6."""
-    cls = STRATEGIES[name]
     m = make_machine(4)
     m.fs.inject_fault("write", "ckpt", mode="torn", after=2,
                       torn_fraction=0.5)
-    dump(m, hierarchy, cls(retry=RetryPolicy(max_retries=2)))
+    dump(m, hierarchy, registry.create(name, retry=RetryPolicy(max_retries=2)))
     rm = make_machine(restart_procs, fs=m.fs)
-    rebuilt = restart(rm, cls())
+    rebuilt = restart(rm, registry.create(name))
     assert hierarchies_equivalent(rebuilt, hierarchy)
 
 
@@ -96,11 +85,11 @@ def test_cross_strategy_checkpoints_stay_identical_under_faults(hierarchy):
     """mpi-io written with retries vs hdf5 written clean: same arrays."""
     a = make_machine(4)
     a.fs.inject_fault("write", "ckpt", after=5)
-    dump(a, hierarchy, MPIIOStrategy(retry=RetryPolicy(max_retries=2)))
+    dump(a, hierarchy, registry.create("mpi-io", retry=RetryPolicy(max_retries=2)))
     b = make_machine(3)
-    dump(b, hierarchy, HDF5Strategy())
+    dump(b, hierarchy, registry.create("hdf5"))
     report = compare_checkpoints(
-        a.fs, MPIIOStrategy(), "ckpt", b.fs, HDF5Strategy(), "ckpt"
+        a.fs, registry.create("mpi-io"), "ckpt", b.fs, registry.create("hdf5"), "ckpt"
     )
     assert report.ok, report.summary()
 
@@ -112,10 +101,10 @@ def test_different_seeds_are_distinguishable():
     h2 = make_initial_conditions((16, 16, 16), seed=2, pre_refine=0,
                                  particles_per_cell=0.25)
     a, b = make_machine(2), make_machine(2)
-    dump(a, h1, MPIIOStrategy())
-    dump(b, h2, MPIIOStrategy())
+    dump(a, h1, registry.create("mpi-io"))
+    dump(b, h2, registry.create("mpi-io"))
     report = compare_checkpoints(
-        a.fs, MPIIOStrategy(), "ckpt", b.fs, MPIIOStrategy(), "ckpt"
+        a.fs, registry.create("mpi-io"), "ckpt", b.fs, registry.create("mpi-io"), "ckpt"
     )
     assert not report.ok
     assert report.mismatched
@@ -127,7 +116,7 @@ def test_roundtrip_with_retries_on_machine_presets(hierarchy, preset):
     """The resilience layer composes with the timed platform models."""
     m = preset(4)
     m.fs.inject_fault("write", "ckpt", after=4)
-    strategy = MPIIOStrategy(retry=RetryPolicy(max_retries=3))
+    strategy = registry.create("mpi-io", retry=RetryPolicy(max_retries=3))
     dump(m, hierarchy, strategy)
     rebuilt = restart(m, strategy)
     assert hierarchies_equivalent(rebuilt, hierarchy)
@@ -140,7 +129,7 @@ def test_retry_backoff_costs_simulated_time(hierarchy):
         if arm_fault:
             m.fs.inject_fault("write", "ckpt", after=2)
         res = dump(m, hierarchy,
-                   MPIIOStrategy(retry=RetryPolicy(max_retries=2,
+                   registry.create("mpi-io", retry=RetryPolicy(max_retries=2,
                                                    backoff_base=0.5)))
         return max(s.elapsed for s in res.results)
 

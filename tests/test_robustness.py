@@ -68,10 +68,10 @@ class TestCorruptedFormats:
             MDMS(fs)
 
     def test_sidecar_missing_fails_cleanly(self):
-        from repro.enzo import MPIIOStrategy
+        from repro.iostack import registry
 
         def program(comm):
-            MPIIOStrategy().read_checkpoint(comm, "never-written")
+            registry.create("mpi-io").read_checkpoint(comm, "never-written")
 
         m = make_machine(2)
         with pytest.raises(RankFailedError) as ei:

@@ -101,19 +101,17 @@ class TestWriteBehind:
                 fh.close()
                 return comm.clock - t0
 
-            return run_spmd(m, program).results[0]
+            return run_spmd(m, program).results[0], m.fs.counters.writes
 
-        buffered = run(1 << 20)
-        unbuffered = run(0)
+        buffered, buffered_requests = run(1 << 20)
+        unbuffered, unbuffered_requests = run(0)
         assert buffered < unbuffered / 2
+        assert buffered_requests < unbuffered_requests / 8
 
     def test_checkpoint_with_write_behind_round_trips(self):
         from repro.amr import make_initial_conditions
-        from repro.enzo import (
-            MPIIOStrategy,
-            RankState,
-            hierarchies_equivalent,
-        )
+        from repro.enzo import RankState, hierarchies_equivalent
+        from repro.iostack import registry
 
         h = make_initial_conditions((8, 8, 8), seed=1, pre_refine=1)
         m = make_machine(2)
@@ -121,12 +119,12 @@ class TestWriteBehind:
 
         def wp(comm):
             st = RankState.from_hierarchy(h, comm.rank, comm.size)
-            MPIIOStrategy(hints=hints).write_checkpoint(comm, st, "ckpt")
+            registry.create("mpi-io", hints=hints).write_checkpoint(comm, st, "ckpt")
 
         run_spmd(m, wp)
 
         def rp(comm):
-            state, _ = MPIIOStrategy().read_checkpoint(comm, "ckpt")
+            state, _ = registry.create("mpi-io").read_checkpoint(comm, "ckpt")
             return state
 
         res = run_spmd(make_machine(2, fs=m.fs), rp)
