@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""The paper's analysis workflow: trace, classify, optimise.
+"""The paper's analysis workflow: trace and classify.
 
 1. Run a checkpoint dump with the file system instrumented and print a
    Pablo-style I/O activity report (request sizes, sequentiality, skew).
-2. Register the application's array metadata -- rank, dimensions, access
-   pattern, access order -- and classify each array's pattern from its
-   per-rank access descriptors (regular (Block,Block,Block) baryon fields
-   vs irregular position-partitioned particle arrays).
-3. Feed the metadata to the optimizer and print the resulting I/O plan:
-   the strategy the paper's Section 3.2 implements by hand.
+2. Classify each array's access pattern from its per-rank access
+   descriptors (regular (Block,Block,Block) baryon fields vs irregular
+   position-partitioned particle arrays).
+
+The optimise step -- diagnosing the trace and tuning the strategy and
+hints -- is ``examples/insights_report.py``.
 
 Run:  python examples/io_pattern_analysis.py
 """
@@ -19,8 +19,6 @@ from repro.amr import BlockPartition
 from repro.bench import build_workload
 from repro.core import (
     AccessDescriptor,
-    MetadataRegistry,
-    Optimizer,
     classify_accesses,
     format_trace_report,
     trace_filesystem,
@@ -75,34 +73,12 @@ def classify_enzo_patterns(hierarchy):
           f"(Block, Block, Block over {part.pgrid} processors)")
     print(f"particle arrays -> {particle_class.value} "
           f"(partitioned by particle position)")
-    print()
-    return baryon_class, particle_class
-
-
-def plan_from_metadata(hierarchy, baryon_class, particle_class):
-    registry = MetadataRegistry()
-    root = hierarchy.root
-    for name in root.fields.names:
-        registry.register("top", name, root.dims, np.float64, baryon_class)
-    from repro.amr.particles import PARTICLE_ARRAYS
-    from repro.enzo import array_dtype
-
-    for name in PARTICLE_ARRAYS:
-        # Particle velocity_* shares names with the baryon velocity fields;
-        # namespace them as the I/O layers do.
-        registry.register(
-            "top", f"particle/{name}", (len(root.particles),),
-            array_dtype(name), particle_class,
-        )
-    plan = Optimizer(stripe_size=1 << 20).plan(registry)
-    print(plan.explain())
 
 
 def main() -> None:
     hierarchy = build_workload("AMR32")
     trace_a_dump(hierarchy)
-    baryon_class, particle_class = classify_enzo_patterns(hierarchy)
-    plan_from_metadata(hierarchy, baryon_class, particle_class)
+    classify_enzo_patterns(hierarchy)
 
 
 if __name__ == "__main__":

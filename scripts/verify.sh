@@ -30,7 +30,9 @@ if command -v ruff >/dev/null 2>&1; then
         tests/test_resilience_faults.py tests/test_resilience_manifest.py \
         tests/test_resilience_roundtrip.py tests/test_crash_consistency.py \
         tests/test_cli_errors.py tests/test_insights_resilience.py \
-        tests/test_iostack.py tests/test_aio.py tests/test_scenarios.py
+        tests/test_iostack.py tests/test_aio.py tests/test_scenarios.py \
+        tests/test_core_analysis.py tests/test_extensions.py \
+        tests/test_insights_tune.py tests/test_robustness.py
 else
     echo "ruff not installed; lint gate skipped"
 fi

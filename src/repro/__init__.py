@@ -4,7 +4,8 @@ Cosmology Application" (Li, Liao, Choudhary, Taylor -- CLUSTER 2002).
 A complete simulated parallel-I/O stack -- discrete-event SPMD engine,
 MPI + MPI-IO (two-phase collective I/O, data sieving, file views), HDF4 and
 parallel-HDF5 libraries, striped parallel file systems -- plus an ENZO-like
-AMR cosmology application and the paper's metadata-driven I/O optimizer.
+AMR cosmology application, the paper's access-pattern analysis, and a
+trace-driven tuner that picks the I/O strategy and MPI-IO hints.
 
 Quick start::
 

@@ -15,7 +15,7 @@ compute comes from.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "AioConfig",

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import BARYON_FIELDS, FieldSet
+from .fields import FieldSet
 from .particles import ParticleSet
 
 __all__ = ["Grid"]

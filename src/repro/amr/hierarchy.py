@@ -8,9 +8,7 @@ everywhere.  The grid *data* (fields, particles) is distributed.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Iterator
 
 from .grid import Grid
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import BARYON_FIELDS
 from .grid import Grid
 from .hierarchy import GridHierarchy
 

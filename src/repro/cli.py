@@ -6,7 +6,7 @@ Commands:
 * ``figure fig6|fig7|fig8|fig9|fig10`` -- run one figure's experiments and
   draw the paper-style chart;
 * ``analyze``                    -- trace a checkpoint dump (or load a saved
-  trace) and print the Pablo-style I/O report plus the optimizer's plan;
+  trace) and print the Pablo-style I/O report;
 * ``insights``                   -- run the Drishti-style detector rules
   over a saved trace and print the severity-ranked diagnosis;
 * ``tune``                       -- closed-loop auto-tuning: diagnose,

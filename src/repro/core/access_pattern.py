@@ -11,7 +11,7 @@ The paper's central observation: ENZO's arrays fall into two classes --
   sort plus block-wise I/O (write).
 
 This module classifies observed per-rank access descriptors into those
-classes (plus plain ``contiguous``), which the optimizer keys on.
+classes (plus plain ``contiguous``).
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ class AccessDescriptor:
             for s, n, g in zip(self.starts, self.subsizes, self.global_shape):
                 if s < 0 or n < 0 or s + n > g:
                     raise ValueError("subarray outside the global array")
+        if self.indices is not None:
+            size = int(np.prod(self.global_shape))
+            if any(i < 0 or i >= size for i in self.indices):
+                raise ValueError("index outside the global array")
 
     @property
     def nelements(self) -> int:

@@ -22,13 +22,7 @@ from ..mpiio.hints import Hints
 from .model import Diagnosis, Severity
 from .rules import Thresholds, diagnose
 
-__all__ = ["AutoTuner", "TuningReport", "TuningStep", "STRATEGY_UPGRADES"]
-
-#: the escalation the paper's measurements justify, derived from the
-#: ``upgrades_to`` declarations in the strategy registry: both the serial
-#: HDF4 baseline and the metadata-bound parallel HDF5 move to collective
-#: MPI-IO
-STRATEGY_UPGRADES = registry.upgrades()
+__all__ = ["AutoTuner", "TuningReport", "TuningStep"]
 
 
 def stripe_size_of(machine) -> int:
@@ -289,27 +283,8 @@ class AutoTuner:
         strategy, hints = self.strategy, self.hints
         applied: list[str] = []
         for round_no in range(self.max_rounds + 1):
-            _trace, diagnosis, result = self.run_once(strategy, hints)
-            bandwidth = (
-                result.bytes_written / result.write_time
-                if result.write_time
-                else 0.0
-            )
-            report.steps.append(
-                TuningStep(
-                    round=round_no,
-                    strategy=strategy,
-                    hints=hints.to_info(),
-                    write_time=result.write_time,
-                    bytes_written=result.bytes_written,
-                    bandwidth=bandwidth,
-                    high=diagnosis.count(Severity.HIGH),
-                    warn=diagnosis.count(Severity.WARN),
-                    high_rules=[
-                        i.rule for i in diagnosis.findings(Severity.HIGH)
-                    ],
-                    applied=applied,
-                )
+            diagnosis = self._run_step(
+                report, round_no, strategy, hints, applied
             )
             if diagnosis.count(Severity.HIGH) == 0 and round_no > 0:
                 break
@@ -344,25 +319,39 @@ class AutoTuner:
             except ValueError:
                 continue  # e.g. scda on a scatter-mode node-local fs
             round_no += 1
-            _trace, diagnosis, result = self.run_once(comp.name, hints)
-            bandwidth = (
-                result.bytes_written / result.write_time
-                if result.write_time
-                else 0.0
+            self._run_step(
+                report, round_no, comp.name, hints,
+                [f"try variant {comp.name} (of {comp.variant_of})"],
             )
-            report.steps.append(
-                TuningStep(
-                    round=round_no,
-                    strategy=comp.name,
-                    hints=hints.to_info(),
-                    write_time=result.write_time,
-                    bytes_written=result.bytes_written,
-                    bandwidth=bandwidth,
-                    high=diagnosis.count(Severity.HIGH),
-                    warn=diagnosis.count(Severity.WARN),
-                    high_rules=[
-                        i.rule for i in diagnosis.findings(Severity.HIGH)
-                    ],
-                    applied=[f"try variant {comp.name} (of {comp.variant_of})"],
-                )
+
+    def _run_step(
+        self,
+        report: TuningReport,
+        round_no: int,
+        strategy: str,
+        hints: Hints,
+        applied: list,
+    ) -> Diagnosis:
+        """Run one round, record it as a :class:`TuningStep`, and return
+        its diagnosis."""
+        _trace, diagnosis, result = self.run_once(strategy, hints)
+        bandwidth = (
+            result.bytes_written / result.write_time
+            if result.write_time
+            else 0.0
+        )
+        report.steps.append(
+            TuningStep(
+                round=round_no,
+                strategy=strategy,
+                hints=hints.to_info(),
+                write_time=result.write_time,
+                bytes_written=result.bytes_written,
+                bandwidth=bandwidth,
+                high=diagnosis.count(Severity.HIGH),
+                warn=diagnosis.count(Severity.WARN),
+                high_rules=[i.rule for i in diagnosis.findings(Severity.HIGH)],
+                applied=applied,
             )
+        )
+        return diagnosis

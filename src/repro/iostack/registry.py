@@ -42,7 +42,6 @@ __all__ = [
     "register",
     "unregister",
     "upgrade_chain",
-    "upgrades",
 ]
 
 #: layer name -> implementation class
@@ -144,11 +143,6 @@ def get(name: str) -> StrategyComposition:
 
 def compositions() -> tuple[StrategyComposition, ...]:
     return tuple(_REGISTRY[n] for n in sorted(_REGISTRY))
-
-
-def upgrades() -> dict[str, str]:
-    """strategy name -> the registered strategy it upgrades to."""
-    return {c.name: c.upgrades_to for c in compositions() if c.upgrades_to}
 
 
 def upgrade_chain(name: str) -> tuple[str, ...]:

@@ -10,7 +10,7 @@ do work, wait).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from .comm import ANY_SOURCE, ANY_TAG, Comm
 

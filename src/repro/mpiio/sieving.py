@@ -12,8 +12,6 @@ PVFS "because of the caching and ROMIO data-sieving techniques".
 
 from __future__ import annotations
 
-import numpy as np
-
 from .adio import ADIOFile, as_byte_view
 from .hints import Hints
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import bisect
 
-import numpy as np
-
 from ..mpi import collectives as coll
 from ..mpi.comm import Comm
 from .adio import ADIOFile, as_byte_view

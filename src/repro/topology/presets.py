@@ -25,7 +25,7 @@ them next to each figure.  Nothing here is fitted to individual data points
 from __future__ import annotations
 
 from .machine import Machine
-from .network import CCNumaNetwork, Network, SwitchedNetwork
+from .network import CCNumaNetwork, SwitchedNetwork
 
 # NOTE: repro.pfs is imported inside each factory, not at module level:
 # pfs.striped itself imports repro.topology for the network models, so a

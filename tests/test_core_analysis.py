@@ -1,4 +1,4 @@
-"""Tests for the access-pattern analysis, metadata registry and optimizer."""
+"""Tests for the access-pattern analysis and the I/O trace/report tools."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.core import (
     AccessDescriptor,
     IOTrace,
-    MetadataRegistry,
-    Optimizer,
     PatternClass,
     classify_accesses,
     format_table,
@@ -77,6 +75,11 @@ class TestClassification:
             AccessDescriptor((10,), starts=(0,), subsizes=(20,))
         with pytest.raises(ValueError):
             AccessDescriptor((10,), starts=(0,), subsizes=(5,), indices=(1,))
+        with pytest.raises(ValueError, match="index outside"):
+            AccessDescriptor((10,), indices=(50, -3))
+        with pytest.raises(ValueError, match="index outside"):
+            AccessDescriptor((2, 5), indices=(0, 10))
+        assert AccessDescriptor((2, 5), indices=(0, 9)).nelements == 2
         with pytest.raises(ValueError):
             classify_accesses([])
 
@@ -93,71 +96,6 @@ class TestClassification:
             for r in range(4)
         ]
         assert classify_accesses(particle) == PatternClass.IRREGULAR
-
-
-class TestMetadataRegistry:
-    def make(self):
-        reg = MetadataRegistry()
-        reg.register("top", "density", (64, 64, 64), np.float64,
-                     PatternClass.REGULAR_BLOCK)
-        reg.register("top", "particle_id", (1000,), np.int64,
-                     PatternClass.IRREGULAR)
-        reg.register(1, "density", (16, 16, 16), np.float64,
-                     PatternClass.CONTIGUOUS)
-        return reg
-
-    def test_access_order_preserved(self):
-        reg = self.make()
-        assert [a.name for a in reg.arrays()] == [
-            "density", "particle_id", "density"
-        ]
-        assert [a.order_index for a in reg.arrays()] == [0, 1, 2]
-
-    def test_lookup_and_grouping(self):
-        reg = self.make()
-        assert reg.lookup("top", "density").rank == 3
-        assert reg.grid_keys() == ["top", 1]
-        assert len(reg.arrays("top")) == 2
-        assert ("top", "density") in reg
-
-    def test_nbytes(self):
-        reg = self.make()
-        assert reg.lookup("top", "particle_id").nbytes == 8000
-        assert reg.total_nbytes() == 64**3 * 8 + 8000 + 16**3 * 8
-
-    def test_duplicate_rejected(self):
-        reg = self.make()
-        with pytest.raises(ValueError):
-            reg.register("top", "density", (4, 4, 4), np.float64,
-                         PatternClass.REGULAR_BLOCK)
-
-    def test_rank_dim_mismatch(self):
-        from repro.core.metadata import ArrayMetadata
-
-        with pytest.raises(ValueError):
-            ArrayMetadata("x", 2, (4,), "float64", PatternClass.IRREGULAR, 0)
-
-
-class TestOptimizer:
-    def test_plan_follows_paper_rules(self):
-        reg = TestMetadataRegistry().make()
-        plan = Optimizer(stripe_size=65536).plan(reg)
-        assert plan.plan_for("particle_id").method == "sort_blockwise"
-        assert not plan.plan_for("particle_id").collective
-        top_density = plan.arrays[0]
-        assert top_density.method == "collective_subarray"
-        assert top_density.collective
-        sub_density = plan.arrays[2]
-        assert sub_density.method == "independent_contiguous"
-        assert plan.shared_file
-        assert plan.align_to_stripe == 65536
-
-    def test_explain_mentions_key_decisions(self):
-        reg = TestMetadataRegistry().make()
-        text = Optimizer().plan(reg).explain()
-        assert "collective_subarray" in text
-        assert "sort_blockwise" in text
-        assert "single shared file" in text
 
 
 class TestTrace:

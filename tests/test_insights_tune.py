@@ -32,6 +32,11 @@ def test_autotune_improves_small_request_workload():
     assert report.best.high == 0
     assert report.baseline.high >= 1
     assert report.unapplied_upgrades == []  # the chain was fully explored
+    # the tuned plan: collective domains and striping pinned to the 1 MiB
+    # Origin2000 XFS stripe, with a 4 MiB write-behind buffer
+    assert report.best.hints["cb_align"] == 1 * MB
+    assert report.best.hints["striping_unit"] == 1 * MB
+    assert report.best.hints["wb_buffer_size"] == 4 * MB
     # the report explains itself and serializes
     text = report.explain()
     assert "auto-tune AMR16" in text

@@ -7,7 +7,6 @@ import pytest
 from repro.pfs import FileSystem
 from repro.resilience import (
     CheckpointManifest,
-    ManifestEntry,
     ManifestVerificationError,
     checksum_bytes,
     entry_for_bytes,

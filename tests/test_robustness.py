@@ -7,7 +7,7 @@ import pytest
 from repro.hdf4 import SDFile
 from repro.hdf5 import H5File, ObjectHeader
 from repro.mpi import run_spmd
-from repro.mpiio import ADIOFile, File, Hints
+from repro.mpiio import ADIOFile, File
 from repro.sim import RankFailedError
 
 from .conftest import make_machine
@@ -53,19 +53,6 @@ class TestCorruptedFormats:
         header.attrs["big"] = "y" * 600  # exceeds HEADER_CAPACITY
         with pytest.raises(ValueError, match="capacity"):
             header.pack()
-
-    def test_mdms_schema_version_check(self):
-        import pickle
-
-        from repro.core import MDMS
-        from repro.pfs import FileSystem
-
-        fs = FileSystem()
-        fs.create(".mdms.db")
-        fs.write(".mdms.db", 0,
-                 pickle.dumps({"version": 99, "apps": {}}))
-        with pytest.raises(ValueError, match="schema"):
-            MDMS(fs)
 
     def test_sidecar_missing_fails_cleanly(self):
         from repro.iostack import registry

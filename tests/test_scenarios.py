@@ -17,9 +17,7 @@ from repro.enzo import RankState, hierarchies_equivalent
 from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.scenarios import (
-    Scenario,
     ScenarioError,
-    build_hierarchy,
     emit_enzo,
     emit_nyx,
     load_param_file,
